@@ -18,11 +18,12 @@
 // back to its environment override when absent), --json PATH (table mode:
 // write the best-config row as a BENCH_throughput.json report and print a
 // delta line against the previous file at that path), --latency-json PATH
-// (run the batched-cipher sweep — batch sizes 1/2/4/8/16/32 through the
-// batch submit API, batch 1 = scalar cipher reference — and write the rows
-// as BENCH_latency.json), --min-batch-speedup X (with the sweep: fail the
-// run unless some batch >= 8 row reaches X times the scalar row's ops/s;
-// the CI perf gate passes 1.5).
+// (run the batch-submit sweep — batch sizes 1/2/4/8/16/32 through the
+// batch submit API — and write the rows as BENCH_latency.json),
+// --min-kernel-speedup X (time one crossbar unit's encrypt+decrypt round
+// trip on the production pulse kernel and on the scalar reference oracle,
+// and fail the run unless the kernel is X times faster; the CI perf gate
+// passes 1.5).
 // Overrides: SPE_SVC_OPS (trace length), SPE_SVC_WORKLOAD (suite name),
 //            SPE_SVC_WINDOW (max outstanding submissions per client),
 //            SPE_OBS_MAX_OVERHEAD (--smoke gate, percent),
@@ -39,6 +40,7 @@
 #include <deque>
 #include <fstream>
 #include <future>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -46,6 +48,7 @@
 #include "obs/trace.hpp"
 #include "runtime/memory_service.hpp"
 #include "sim/workloads.hpp"
+#include "support/spe_cipher_oracle.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -135,23 +138,17 @@ RunResult replay(const std::vector<TraceOp>& trace, unsigned workers, unsigned s
 
 double us(std::chrono::nanoseconds ns) { return static_cast<double>(ns.count()) / 1000.0; }
 
-// One row of the batched-cipher sweep: the same trace replayed through the
-// batch submit API in groups of `batch` same-kind ops. batch == 1 is the
-// scalar reference (batch_cipher off); batch > 1 runs the SpecuBatch fast
-// path on every drained run (batch_min_size 1 — run grouping is what the
-// submit batches create, engagement is what the sweep measures).
+// One row of the batch-submit sweep: the same trace replayed through the
+// batch submit API in groups of `batch` same-kind ops.
 spe::benchutil::LatencyRow sweep_run(const std::vector<TraceOp>& trace,
                                      unsigned batch, std::size_t window) {
   ServiceConfig cfg;
   cfg.worker_threads = 4;
   cfg.shards = 8;
   cfg.queue_capacity = std::max<std::size_t>(window * 2, batch * 2);
-  cfg.batch_cipher = batch > 1;
-  cfg.batch_min_size = 1;
-  // The sweep gates the *cipher* trajectory: SEC-DED verify costs the same
-  // in every row (it has its own campaign coverage), so it is switched off
-  // here — otherwise it dilutes the scalar-vs-batched signal the perf gate
-  // watches.
+  // SEC-DED verify costs the same in every row (it has its own campaign
+  // coverage), so it is switched off here to keep the rows about submit
+  // batching and the cipher.
   cfg.ecc_enabled = false;
   cfg.obs.trace = false;
   spe::obs::Tracer::instance().disable();
@@ -219,6 +216,51 @@ spe::benchutil::LatencyRow sweep_run(const std::vector<TraceOp>& trace,
   return row;
 }
 
+struct KernelTiming {
+  double kernel_us = 0.0;  ///< best round trip, production kernel
+  double oracle_us = 0.0;  ///< best round trip, scalar reference oracle
+  [[nodiscard]] double speedup() const { return oracle_us / kernel_us; }
+};
+
+/// Kernel gate: one crossbar unit's encrypt+decrypt round trip on the
+/// production pulse kernel (SpeCipher) vs the scalar reference oracle. The
+/// sides alternate so drift hits both; the minimum over the rounds filters
+/// scheduler noise. Throws if either side fails to round-trip.
+KernelTiming time_kernel() {
+  namespace core = spe::core;
+  constexpr int kRounds = 7;
+  constexpr int kTrips = 200;
+  const core::SpeCipher cipher(core::SpeKey{0x5EED, 0xC0DE},
+                               core::get_calibration(spe::xbar::CrossbarParams{}));
+  std::vector<std::uint8_t> plaintext(cipher.block_bytes());
+  for (std::size_t i = 0; i < plaintext.size(); ++i)
+    plaintext[i] = static_cast<std::uint8_t>(37 * i + 11);
+  const core::UnitLevels original = cipher.levels_from_bytes(plaintext);
+  const auto best_us = [&](double best, auto&& round_trip) {
+    core::UnitLevels levels = original;
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kTrips; ++i) round_trip(levels);
+    const double trip_us =
+        std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
+            .count() /
+        kTrips;
+    if (levels != original) throw std::runtime_error("kernel gate: round trip mismatch");
+    return best == 0.0 ? trip_us : std::min(best, trip_us);
+  };
+  KernelTiming t;
+  for (int round = 0; round < kRounds; ++round) {
+    t.kernel_us = best_us(t.kernel_us, [&](core::UnitLevels& l) {
+      cipher.encrypt(l);
+      cipher.decrypt(l);
+    });
+    t.oracle_us = best_us(t.oracle_us, [&](core::UnitLevels& l) {
+      core::oracle::encrypt(cipher, l);
+      core::oracle::decrypt(cipher, l);
+    });
+  }
+  return t;
+}
+
 void dump_metrics(const std::string& metrics, bool to_stdout) {
   if (const char* path = std::getenv("SPE_METRICS_OUT"); path && *path) {
     std::ofstream out(path, std::ios::trunc);
@@ -279,9 +321,9 @@ int main(int argc, char** argv) {
       "workload", workload_env && *workload_env ? workload_env : "bzip2");
   const std::string json_path = args.str("json", "");
   const std::string latency_json_path = args.str("latency-json", "");
-  const std::string min_speedup_str = args.str("min-batch-speedup", "");
+  const std::string min_speedup_str = args.str("min-kernel-speedup", "");
   if (!args.ok(stderr)) return 2;
-  const double min_batch_speedup =
+  const double min_kernel_speedup =
       min_speedup_str.empty() ? 0.0 : std::strtod(min_speedup_str.c_str(), nullptr);
 
   if (smoke) {
@@ -367,33 +409,37 @@ int main(int argc, char** argv) {
     return 1;
 
   if (!latency_json_path.empty()) {
-    std::printf("\nbatched-cipher sweep (4w/8s, batch 1 = scalar reference):\n");
+    std::printf("\nbatch-submit sweep (4w/8s):\n");
     spe::benchutil::LatencyReport sweep;
     sweep.source = "throughput_service";
     sweep.config = "4w/8s window=" + std::to_string(window) +
                    " workload=" + workload + " block_bytes=" +
                    std::to_string(block_bytes);
-    double scalar_ops_per_sec = 0.0;
-    double best_batched_speedup = 0.0;
     for (const unsigned batch : {1u, 2u, 4u, 8u, 16u, 32u}) {
       const spe::benchutil::LatencyRow row = sweep_run(trace, batch, window);
       sweep.rows.push_back(row);
-      if (batch == 1) scalar_ops_per_sec = row.ops_per_sec;
-      const double speedup =
-          scalar_ops_per_sec > 0.0 ? row.ops_per_sec / scalar_ops_per_sec : 0.0;
-      if (batch >= 8 && speedup > best_batched_speedup)
-        best_batched_speedup = speedup;
       std::printf("  batch %2u: %8.1f kops/s (%.2fx)  p50=%.1fus p99=%.1fus\n",
-                  batch, row.ops_per_sec / 1000.0, speedup, row.p50_us,
+                  batch, row.ops_per_sec / 1000.0,
+                  row.ops_per_sec / sweep.rows.front().ops_per_sec, row.p50_us,
                   row.p99_us);
     }
     if (!spe::benchutil::write_latency_json(latency_json_path, sweep)) return 1;
-    std::printf("sweep written to %s; batch>=8 speedup %.2fx\n",
-                latency_json_path.c_str(), best_batched_speedup);
-    if (min_batch_speedup > 0.0 && best_batched_speedup < min_batch_speedup) {
-      std::fprintf(stderr,
-                   "BENCH FAIL: batch>=8 speedup %.2fx below required %.2fx\n",
-                   best_batched_speedup, min_batch_speedup);
+    std::printf("sweep written to %s\n", latency_json_path.c_str());
+  }
+
+  if (min_kernel_speedup > 0.0) {
+    KernelTiming t;
+    try {
+      t = time_kernel();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "BENCH FAIL: %s\n", e.what());
+      return 1;
+    }
+    std::printf("\nunit round trip: kernel %.2fus, oracle %.2fus -> %.2fx (floor %.2fx)\n",
+                t.kernel_us, t.oracle_us, t.speedup(), min_kernel_speedup);
+    if (t.speedup() < min_kernel_speedup) {
+      std::fprintf(stderr, "BENCH FAIL: kernel speedup %.2fx below required %.2fx\n",
+                   t.speedup(), min_kernel_speedup);
       return 1;
     }
   }

@@ -1,213 +1,38 @@
 #include "core/spe_cipher.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
+
+#include "core/pulse_math.hpp"
 
 namespace spe::core {
 
+using namespace pulse_math;
+
 namespace {
-constexpr std::uint64_t kChainInit = 0x510E527FADE682D1ull;
-constexpr std::uint64_t kDigestInit = 0x9B05688C2B3E6C1Full;
-
-// Shared per-pass math: one definition for the scalar and fast paths so the
-// two cannot drift apart (the loop structures differ; the arithmetic must
-// not).
-inline std::uint64_t pass_base(std::uint64_t digest, std::uint64_t fingerprint,
-                               const PulseStep& step, unsigned step_index,
-                               unsigned pass) noexcept {
-  return digest ^ fingerprint ^ (std::uint64_t{step.pulse_code} << 32) ^
-         (std::uint64_t{step.poe_cell} << 40) ^ (std::uint64_t{step_index} << 48) ^
-         (std::uint64_t{pass} << 56);
-}
-
-inline void transform_params(std::uint64_t base, std::uint64_t chain, unsigned tier,
-                             unsigned pulse_code, std::size_t library_size,
-                             unsigned& code, unsigned& rot) noexcept {
-  const std::uint64_t h = util::mix64(base ^ chain ^ (std::uint64_t{tier} << 8));
-  code = (pulse_code ^ static_cast<unsigned>(h & 31)) % library_size;
-  rot = static_cast<unsigned>((h >> 5) & (CipherCalibration::kLevels - 1));
-}
-
-inline std::uint64_t fold_chain(std::uint64_t chain, std::uint8_t level,
-                                std::uint16_t cell) noexcept {
-  return util::mix64(chain ^ (std::uint64_t{level} << 8) ^ cell);
-}
-
-/// Per-cell term of the outside-state digest (order-independent XOR fold).
-inline std::uint64_t cell_digest_term(std::uint8_t level, unsigned cell) noexcept {
-  return util::mix64((std::uint64_t{level} << 16) | cell);
+std::shared_ptr<const CipherCalibration> require_calibration(
+    std::shared_ptr<const CipherCalibration> calibration) {
+  if (!calibration) throw std::invalid_argument("SpeCipher: null calibration");
+  return calibration;
 }
 }  // namespace
 
 SpeCipher::SpeCipher(const SpeKey& key, std::shared_ptr<const CipherCalibration> calibration,
                      std::vector<unsigned> poes, unsigned unit_index)
-    : cal_(std::move(calibration)),
+    : cal_(require_calibration(std::move(calibration))),
       addresses_(poes.empty() ? default_poes_8x8() : std::move(poes),
                  cal_->params().rows, cal_->params().cols),
       voltages_(cal_->library()),
       schedule_(key, addresses_, voltages_, unit_index) {
-  if (!cal_) throw std::invalid_argument("SpeCipher: null calibration");
-  if (cal_->cell_count() > 256)
+  if (cal_->cell_count() > kMaxCells)
     throw std::invalid_argument("SpeCipher: crossbar unit larger than 256 cells");
 }
 
-std::uint64_t SpeCipher::outside_digest(const UnitLevels& levels,
-                                        const CipherCalibration::Shape& shape) const {
-  // Membership flags for the (small) covered set.
-  std::array<std::uint8_t, 256> in_shape{};
-  for (std::uint16_t c : shape.cells) in_shape[c] = 1;
-
-  // Order-independent fold over the untouched cells: this is the
-  // behavioural stand-in for the global resistive load the sneak network
-  // presents to the pulse. It is identical before and after the pulse
-  // (outside cells do not move), which is what makes decryption able to
-  // recompute it.
-  std::uint64_t digest = kDigestInit;
-  for (unsigned i = 0; i < levels.size(); ++i) {
-    if (!in_shape[i]) digest ^= cell_digest_term(levels[i], i);
-  }
-  return digest;
-}
-
-void SpeCipher::apply_pass(UnitLevels& levels, const CipherCalibration::Shape& shape,
-                           const PulseStep& step, unsigned step_index, unsigned pass,
-                           std::uint64_t digest, bool reverse_order, bool encrypt) const {
-  const unsigned count = static_cast<unsigned>(shape.cells.size());
-  if (count == 0) return;
-  const std::uint64_t base = pass_base(digest, cal_->fingerprint(), step, step_index, pass);
-  const std::size_t library_size = cal_->library().size();
-
-  auto cell_at = [&](unsigned pos) {
-    return reverse_order ? count - 1 - pos : pos;
-  };
-
-  if (encrypt) {
-    std::uint64_t chain = kChainInit;
-    for (unsigned pos = 0; pos < count; ++pos) {
-      const unsigned k = cell_at(pos);
-      const std::uint16_t cell = shape.cells[k];
-      const unsigned tier = shape.tiers[k];
-      unsigned code, rot;
-      transform_params(base, chain, tier, step.pulse_code, library_size, code, rot);
-      const std::uint8_t old = levels[cell];
-      const std::uint8_t fresh =
-          cal_->perm(code, tier)[(old + rot) % CipherCalibration::kLevels];
-      levels[cell] = fresh;
-      chain = fold_chain(chain, fresh, cell);
-    }
-  } else {
-    // Inverse: positions back-to-front; cells at earlier positions still
-    // hold their pass outputs, so the chain can be replayed exactly.
-    for (unsigned pos = count; pos-- > 0;) {
-      std::uint64_t chain = kChainInit;
-      for (unsigned q = 0; q < pos; ++q) {
-        const unsigned kq = cell_at(q);
-        chain = fold_chain(chain, levels[shape.cells[kq]], shape.cells[kq]);
-      }
-      const unsigned k = cell_at(pos);
-      const std::uint16_t cell = shape.cells[k];
-      const unsigned tier = shape.tiers[k];
-      unsigned code, rot;
-      transform_params(base, chain, tier, step.pulse_code, library_size, code, rot);
-      const std::uint8_t inv = cal_->inv_perm(code, tier)[levels[cell]];
-      levels[cell] = static_cast<std::uint8_t>(
-          (inv + CipherCalibration::kLevels - rot) % CipherCalibration::kLevels);
-    }
-  }
-}
-
-void SpeCipher::apply_pulse(UnitLevels& levels, const PulseStep& step, unsigned step_index,
-                            bool encrypt) const {
-  const CipherCalibration::Shape& shape = cal_->shape(step.poe_cell);
-  const std::uint64_t digest = outside_digest(levels, shape);
-  if (encrypt) {
-    apply_pass(levels, shape, step, step_index, 0, digest, /*reverse_order=*/false, true);
-    apply_pass(levels, shape, step, step_index, 1, digest, /*reverse_order=*/true, true);
-  } else {
-    apply_pass(levels, shape, step, step_index, 1, digest, /*reverse_order=*/true, false);
-    apply_pass(levels, shape, step, step_index, 0, digest, /*reverse_order=*/false, false);
-  }
-}
-
-void SpeCipher::encrypt(UnitLevels& levels) const {
-  if (levels.size() != cell_count()) throw std::invalid_argument("SpeCipher::encrypt: size");
-  const auto& steps = schedule_.steps();
-  for (unsigned s = 0; s < steps.size(); ++s) apply_pulse(levels, steps[s], s, true);
-}
-
-void SpeCipher::decrypt(UnitLevels& levels) const {
-  if (levels.size() != cell_count()) throw std::invalid_argument("SpeCipher::decrypt: size");
-  const auto& steps = schedule_.steps();
-  for (unsigned s = static_cast<unsigned>(steps.size()); s-- > 0;)
-    apply_pulse(levels, steps[s], s, false);
-}
-
-void SpeCipher::encrypt_step(UnitLevels& levels, unsigned step) const {
-  if (levels.size() != cell_count())
-    throw std::invalid_argument("SpeCipher::encrypt_step: size");
-  if (step >= schedule_.steps().size())
-    throw std::out_of_range("SpeCipher::encrypt_step: step index");
-  apply_pulse(levels, schedule_.steps()[step], step, true);
-}
-
-void SpeCipher::decrypt_step(UnitLevels& levels, unsigned step) const {
-  if (levels.size() != cell_count())
-    throw std::invalid_argument("SpeCipher::decrypt_step: size");
-  if (step >= schedule_.steps().size())
-    throw std::out_of_range("SpeCipher::decrypt_step: step index");
-  apply_pulse(levels, schedule_.steps()[step], step, false);
-}
-
-void SpeCipher::encrypt_truncated(UnitLevels& levels, unsigned pulses) const {
-  if (levels.size() != cell_count())
-    throw std::invalid_argument("SpeCipher::encrypt_truncated: size");
-  const auto& steps = schedule_.steps();
-  const unsigned n = std::min<unsigned>(pulses, static_cast<unsigned>(steps.size()));
-  for (unsigned s = 0; s < n; ++s) apply_pulse(levels, steps[s], s, true);
-}
-
-void SpeCipher::decrypt_with_order(UnitLevels& levels, std::span<const unsigned> order) const {
-  if (levels.size() != cell_count())
-    throw std::invalid_argument("SpeCipher::decrypt_with_order: size");
-  const auto& steps = schedule_.steps();
-  for (unsigned i = static_cast<unsigned>(order.size()); i-- > 0;) {
-    const unsigned s = order[i];
-    if (s >= steps.size()) throw std::out_of_range("SpeCipher::decrypt_with_order");
-    apply_pulse(levels, steps[s], s, false);
-  }
-}
-
-UnitLevels SpeCipher::levels_from_bytes(std::span<const std::uint8_t> plaintext) const {
+void SpeCipher::init_scratch(std::span<const std::uint8_t> levels, Scratch& scratch) const {
   const unsigned cells = cell_count();
-  if (plaintext.size() * 4 != cells)
-    throw std::invalid_argument("SpeCipher::levels_from_bytes: need cells/4 bytes");
-  UnitLevels levels(cells);
-  for (unsigned i = 0; i < cells; ++i) {
-    const unsigned logic = (plaintext[i / 4] >> (6 - 2 * (i % 4))) & 3u;
-    const unsigned symbol = device::MlcCodec::symbol_for_logic_bits(logic);
-    levels[i] = static_cast<std::uint8_t>(device::MlcCodec::level_for_symbol(symbol));
-  }
-  return levels;
-}
-
-void SpeCipher::bytes_from_levels(const UnitLevels& levels, std::span<std::uint8_t> out) const {
-  const unsigned cells = cell_count();
-  if (levels.size() != cells || out.size() * 4 != cells)
-    throw std::invalid_argument("SpeCipher::bytes_from_levels: size");
-  for (auto& b : out) b = 0;
-  for (unsigned i = 0; i < cells; ++i) {
-    const unsigned symbol = device::MlcCodec::symbol_for_level(levels[i]);
-    const unsigned logic = device::MlcCodec::logic_bits_for_symbol(symbol);
-    out[i / 4] |= static_cast<std::uint8_t>(logic << (6 - 2 * (i % 4)));
-  }
-}
-
-void SpeCipher::init_fast_scratch(std::span<const std::uint8_t> levels,
-                                  FastScratch& scratch) const {
-  const unsigned cells = cell_count();
-  if (levels.size() != cells)
-    throw std::invalid_argument("SpeCipher::init_fast_scratch: size");
-  scratch.cell_hash.resize(cells);
-  scratch.chain_prefix.resize(cells + 1);
+  if (levels.size() != cells) throw std::invalid_argument("SpeCipher::init_scratch: size");
+  scratch.cells = cells;
   scratch.all_fold = 0;
   for (unsigned i = 0; i < cells; ++i) {
     scratch.cell_hash[i] = cell_digest_term(levels[i], i);
@@ -215,11 +40,10 @@ void SpeCipher::init_fast_scratch(std::span<const std::uint8_t> levels,
   }
 }
 
-void SpeCipher::apply_pass_fast(std::span<std::uint8_t> levels,
-                                const CipherCalibration::Shape& shape,
-                                const PulseStep& step, unsigned step_index, unsigned pass,
-                                std::uint64_t digest, bool reverse_order, bool encrypt,
-                                FastScratch& scratch) const {
+void SpeCipher::apply_pass(std::span<std::uint8_t> levels,
+                           const CipherCalibration::Shape& shape, const PulseStep& step,
+                           unsigned step_index, unsigned pass, std::uint64_t digest,
+                           bool reverse_order, bool encrypt, Scratch& scratch) const {
   const unsigned count = static_cast<unsigned>(shape.cells.size());
   if (count == 0) return;
   const std::uint64_t base = pass_base(digest, cal_->fingerprint(), step, step_index, pass);
@@ -267,20 +91,23 @@ void SpeCipher::apply_pass_fast(std::span<std::uint8_t> levels,
   }
 }
 
-void SpeCipher::apply_pulse_fast(std::span<std::uint8_t> levels, const PulseStep& step,
-                                 unsigned step_index, bool encrypt,
-                                 FastScratch& scratch) const {
+void SpeCipher::apply_pulse(std::span<std::uint8_t> levels, unsigned step_index,
+                            bool encrypt, Scratch& scratch) const {
+  const PulseStep& step = schedule_.steps()[step_index];
   const CipherCalibration::Shape& shape = cal_->shape(step.poe_cell);
-  // outside_digest without the rescan: XOR the covered cells' terms back out
-  // of the all-cells fold.
+  // Digest of the cells OUTSIDE the polyomino — the behavioural stand-in for
+  // the global resistive load the sneak network presents to the pulse. It is
+  // identical before and after the pulse (outside cells do not move), which
+  // is what lets decryption recompute it. Taken as a delta: XOR the covered
+  // cells' terms back out of the all-cells fold.
   std::uint64_t digest = kDigestInit ^ scratch.all_fold;
   for (std::uint16_t c : shape.cells) digest ^= scratch.cell_hash[c];
   if (encrypt) {
-    apply_pass_fast(levels, shape, step, step_index, 0, digest, false, true, scratch);
-    apply_pass_fast(levels, shape, step, step_index, 1, digest, true, true, scratch);
+    apply_pass(levels, shape, step, step_index, 0, digest, false, true, scratch);
+    apply_pass(levels, shape, step, step_index, 1, digest, true, true, scratch);
   } else {
-    apply_pass_fast(levels, shape, step, step_index, 1, digest, true, false, scratch);
-    apply_pass_fast(levels, shape, step, step_index, 0, digest, false, false, scratch);
+    apply_pass(levels, shape, step, step_index, 1, digest, true, false, scratch);
+    apply_pass(levels, shape, step, step_index, 0, digest, false, false, scratch);
   }
   // Only the covered cells moved; refresh their digest terms.
   for (std::uint16_t c : shape.cells) {
@@ -290,22 +117,84 @@ void SpeCipher::apply_pulse_fast(std::span<std::uint8_t> levels, const PulseStep
   }
 }
 
-void SpeCipher::encrypt_step_fast(std::span<std::uint8_t> levels, unsigned step,
-                                  FastScratch& scratch) const {
-  if (levels.size() != cell_count() || scratch.cell_hash.size() != cell_count())
-    throw std::invalid_argument("SpeCipher::encrypt_step_fast: size");
+void SpeCipher::check_step(std::span<const std::uint8_t> levels, unsigned step,
+                           const Scratch& scratch, const char* what) const {
+  if (levels.size() != cell_count() || scratch.cells != cell_count())
+    throw std::invalid_argument(std::string(what) + ": size");
   if (step >= schedule_.steps().size())
-    throw std::out_of_range("SpeCipher::encrypt_step_fast: step index");
-  apply_pulse_fast(levels, schedule_.steps()[step], step, true, scratch);
+    throw std::out_of_range(std::string(what) + ": step index");
 }
 
-void SpeCipher::decrypt_step_fast(std::span<std::uint8_t> levels, unsigned step,
-                                  FastScratch& scratch) const {
-  if (levels.size() != cell_count() || scratch.cell_hash.size() != cell_count())
-    throw std::invalid_argument("SpeCipher::decrypt_step_fast: size");
-  if (step >= schedule_.steps().size())
-    throw std::out_of_range("SpeCipher::decrypt_step_fast: step index");
-  apply_pulse_fast(levels, schedule_.steps()[step], step, false, scratch);
+void SpeCipher::encrypt_step(std::span<std::uint8_t> levels, unsigned step,
+                             Scratch& scratch) const {
+  check_step(levels, step, scratch, "SpeCipher::encrypt_step");
+  apply_pulse(levels, step, true, scratch);
+}
+
+void SpeCipher::decrypt_step(std::span<std::uint8_t> levels, unsigned step,
+                             Scratch& scratch) const {
+  check_step(levels, step, scratch, "SpeCipher::decrypt_step");
+  apply_pulse(levels, step, false, scratch);
+}
+
+void SpeCipher::encrypt(UnitLevels& levels) const {
+  if (levels.size() != cell_count()) throw std::invalid_argument("SpeCipher::encrypt: size");
+  encrypt_truncated(levels, static_cast<unsigned>(schedule_.steps().size()));
+}
+
+void SpeCipher::decrypt(UnitLevels& levels) const {
+  if (levels.size() != cell_count()) throw std::invalid_argument("SpeCipher::decrypt: size");
+  Scratch scratch;
+  init_scratch(levels, scratch);
+  for (unsigned s = static_cast<unsigned>(schedule_.steps().size()); s-- > 0;)
+    apply_pulse(levels, s, false, scratch);
+}
+
+void SpeCipher::encrypt_truncated(UnitLevels& levels, unsigned pulses) const {
+  if (levels.size() != cell_count())
+    throw std::invalid_argument("SpeCipher::encrypt_truncated: size");
+  const unsigned n =
+      std::min<unsigned>(pulses, static_cast<unsigned>(schedule_.steps().size()));
+  Scratch scratch;
+  init_scratch(levels, scratch);
+  for (unsigned s = 0; s < n; ++s) apply_pulse(levels, s, true, scratch);
+}
+
+void SpeCipher::decrypt_with_order(UnitLevels& levels, std::span<const unsigned> order) const {
+  if (levels.size() != cell_count())
+    throw std::invalid_argument("SpeCipher::decrypt_with_order: size");
+  Scratch scratch;
+  init_scratch(levels, scratch);
+  for (unsigned i = static_cast<unsigned>(order.size()); i-- > 0;) {
+    const unsigned s = order[i];
+    if (s >= schedule_.steps().size()) throw std::out_of_range("SpeCipher::decrypt_with_order");
+    apply_pulse(levels, s, false, scratch);
+  }
+}
+
+UnitLevels SpeCipher::levels_from_bytes(std::span<const std::uint8_t> plaintext) const {
+  const unsigned cells = cell_count();
+  if (plaintext.size() * 4 != cells)
+    throw std::invalid_argument("SpeCipher::levels_from_bytes: need cells/4 bytes");
+  UnitLevels levels(cells);
+  for (unsigned i = 0; i < cells; ++i) {
+    const unsigned logic = (plaintext[i / 4] >> (6 - 2 * (i % 4))) & 3u;
+    const unsigned symbol = device::MlcCodec::symbol_for_logic_bits(logic);
+    levels[i] = static_cast<std::uint8_t>(device::MlcCodec::level_for_symbol(symbol));
+  }
+  return levels;
+}
+
+void SpeCipher::bytes_from_levels(const UnitLevels& levels, std::span<std::uint8_t> out) const {
+  const unsigned cells = cell_count();
+  if (levels.size() != cells || out.size() * 4 != cells)
+    throw std::invalid_argument("SpeCipher::bytes_from_levels: size");
+  for (auto& b : out) b = 0;
+  for (unsigned i = 0; i < cells; ++i) {
+    const unsigned symbol = device::MlcCodec::symbol_for_level(levels[i]);
+    const unsigned logic = device::MlcCodec::logic_bits_for_symbol(symbol);
+    out[i / 4] |= static_cast<std::uint8_t>(logic << (6 - 2 * (i % 4)));
+  }
 }
 
 void SpeCipher::encrypt_bytes(std::span<const std::uint8_t> plaintext,

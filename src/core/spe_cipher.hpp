@@ -21,6 +21,12 @@
 // the paper's reverse-sequence, hysteresis-corrected decryption. A wrong
 // PoE order reconstructs wrong chains and produces garbage (Fig. 2b); a
 // different device has different tables and also fails.
+//
+// This class holds the one pulse kernel: incremental (cached outside-state
+// digest, O(n) inverse chains) and in place. The scalar reference oracle —
+// the same math as a per-pulse full rescan with an O(n^2) inverse replay —
+// lives in tests/support/spe_cipher_oracle and pins this kernel
+// byte-for-byte (tests/core/cipher_oracle_test).
 
 #include <array>
 #include <cstdint>
@@ -38,7 +44,8 @@ using UnitLevels = std::vector<std::uint8_t>;
 
 class SpeCipher {
 public:
-  /// `poes` defaults to the precomputed 16-PoE placement when empty.
+  /// `poes` defaults to the precomputed 16-PoE placement when empty. Throws
+  /// std::invalid_argument on a null calibration or a unit over kMaxCells.
   SpeCipher(const SpeKey& key, std::shared_ptr<const CipherCalibration> calibration,
             std::vector<unsigned> poes = {}, unsigned unit_index = 0);
 
@@ -53,14 +60,29 @@ public:
   void encrypt(UnitLevels& levels) const;
   void decrypt(UnitLevels& levels) const;
 
-  // --- resumable sequence cursor (crash consistency) -----------------------
+  // --- resumable step API (crash consistency) ------------------------------
   // One encryption is schedule() applied as steps 0..N-1; one decryption is
-  // the inverses applied as steps N-1..0. These primitives expose a single
-  // step so the SPECU can advance its intent journal between pulses and
-  // recovery can resume an interrupted encryption from the logged index:
-  // encrypt == encrypt_step(0..N-1); decrypt == decrypt_step(N-1..0).
-  void encrypt_step(UnitLevels& levels, unsigned step) const;
-  void decrypt_step(UnitLevels& levels, unsigned step) const;
+  // the inverses applied as steps N-1..0. A single step is exposed so the
+  // SPECU can advance its intent journal between pulses and recovery can
+  // resume an interrupted encryption from the logged index. Steps run in
+  // place on the caller's storage. The Scratch carries the step kernel's
+  // incremental state: a per-cell digest cache (the outside-state digest is
+  // an XOR delta instead of a full rescan) and a chain-prefix buffer (the
+  // inverse pass replays its chains in one O(n) sweep). init_scratch seeds
+  // it from the levels about to be stepped; each step keeps it in sync, so
+  // one scratch serves a whole run of steps over the same unit.
+  // encrypt == init_scratch + encrypt_step(0..N-1);
+  // decrypt == init_scratch + decrypt_step(N-1..0).
+  static constexpr unsigned kMaxCells = 256;
+  struct Scratch {
+    std::array<std::uint64_t, kMaxCells> cell_hash{};         ///< digest term per cell
+    std::array<std::uint64_t, kMaxCells + 1> chain_prefix{};  ///< inverse-pass chains
+    std::uint64_t all_fold = 0;  ///< XOR of cell_hash over all cells
+    unsigned cells = 0;          ///< cells seeded by init_scratch
+  };
+  void init_scratch(std::span<const std::uint8_t> levels, Scratch& scratch) const;
+  void encrypt_step(std::span<std::uint8_t> levels, unsigned step, Scratch& scratch) const;
+  void decrypt_step(std::span<std::uint8_t> levels, unsigned step, Scratch& scratch) const;
 
   /// Truncated encryption with only the first `pulses` steps — the PoE-count
   /// ablation of Section 6.1 ("fewer than 16 PoEs fail a large number of
@@ -83,40 +105,15 @@ public:
   void encrypt_bytes(std::span<const std::uint8_t> plaintext,
                      std::span<std::uint8_t> ciphertext) const;
 
-  // --- batched fast path (SpecuBatch) --------------------------------------
-  // Bit-identical reformulation of encrypt_step / decrypt_step for the batch
-  // engine. The caller seeds a FastScratch once per unit operation; the
-  // scratch carries an incremental per-cell digest cache (outside_digest
-  // becomes an XOR delta instead of a full rescan) and a chain-prefix buffer
-  // that turns the inverse pass's per-position chain replay into one O(n)
-  // sweep. Steps run in place on the caller's storage — no per-step copies.
-  // The scalar path above stays the reference oracle; the differential suite
-  // (tests/core/batch_equivalence_test) pins fast == scalar byte-for-byte.
-  struct FastScratch {
-    std::vector<std::uint64_t> cell_hash;     ///< mix64((level << 16) | i) per cell
-    std::uint64_t all_fold = 0;               ///< XOR of cell_hash over all cells
-    std::vector<std::uint64_t> chain_prefix;  ///< per-pass inverse-chain buffer
-  };
-  void init_fast_scratch(std::span<const std::uint8_t> levels, FastScratch& scratch) const;
-  void encrypt_step_fast(std::span<std::uint8_t> levels, unsigned step,
-                         FastScratch& scratch) const;
-  void decrypt_step_fast(std::span<std::uint8_t> levels, unsigned step,
-                         FastScratch& scratch) const;
-
 private:
-  void apply_pulse(UnitLevels& levels, const PulseStep& step, unsigned step_index,
-                   bool encrypt) const;
-  void apply_pass(UnitLevels& levels, const CipherCalibration::Shape& shape,
+  void check_step(std::span<const std::uint8_t> levels, unsigned step,
+                  const Scratch& scratch, const char* what) const;
+  void apply_pulse(std::span<std::uint8_t> levels, unsigned step_index, bool encrypt,
+                   Scratch& scratch) const;
+  void apply_pass(std::span<std::uint8_t> levels, const CipherCalibration::Shape& shape,
                   const PulseStep& step, unsigned step_index, unsigned pass,
-                  std::uint64_t digest, bool reverse_order, bool encrypt) const;
-  [[nodiscard]] std::uint64_t outside_digest(const UnitLevels& levels,
-                                             const CipherCalibration::Shape& shape) const;
-  void apply_pulse_fast(std::span<std::uint8_t> levels, const PulseStep& step,
-                        unsigned step_index, bool encrypt, FastScratch& scratch) const;
-  void apply_pass_fast(std::span<std::uint8_t> levels,
-                       const CipherCalibration::Shape& shape, const PulseStep& step,
-                       unsigned step_index, unsigned pass, std::uint64_t digest,
-                       bool reverse_order, bool encrypt, FastScratch& scratch) const;
+                  std::uint64_t digest, bool reverse_order, bool encrypt,
+                  Scratch& scratch) const;
 
   std::shared_ptr<const CipherCalibration> cal_;
   AddressLut addresses_;

@@ -97,15 +97,15 @@ void Specu::encrypt_block_in_place(std::uint64_t addr, Snvmm::Block& block,
   span.set_a1(pulses_per_block() - progress);  // pulses this span applies
   stats_.encrypt_pulses += pulses_per_block() - progress;
   IntentJournal& journal = memory_.journal();
+  SpeCipher::Scratch scratch;
   for (unsigned unit = progress / sched; unit < ciphers_.size(); ++unit) {
     const unsigned first = unit == progress / sched ? progress % sched : 0;
-    UnitLevels levels(block.levels.begin() + unit * cells,
-                      block.levels.begin() + (unit + 1) * cells);
+    const std::span<std::uint8_t> levels(block.levels.data() + unit * cells, cells);
+    cipher(unit).init_scratch(levels, scratch);
     for (unsigned s = first; s < sched; ++s) {
       // One PoE pulse, then the journal index — the array state between any
       // two advances is exactly what a power loss there would leave behind.
-      cipher(unit).encrypt_step(levels, s);
-      std::copy(levels.begin(), levels.end(), block.levels.begin() + unit * cells);
+      cipher(unit).encrypt_step(levels, s, scratch);
       journal.advance(addr);
     }
     ++stats_.encrypt_ops;
@@ -128,12 +128,12 @@ void Specu::decrypt_block_in_place(std::uint64_t addr, Snvmm::Block& block) {
   // reverse replay has no mid-sequence resting states an ECC check could
   // distinguish from garbage.
   begin_intent(addr, JournalOp::Decrypt, 0, pulses_per_block(), block.levels);
+  SpeCipher::Scratch scratch;
   for (unsigned unit = 0; unit < ciphers_.size(); ++unit) {
-    UnitLevels levels(block.levels.begin() + unit * cells,
-                      block.levels.begin() + (unit + 1) * cells);
+    const std::span<std::uint8_t> levels(block.levels.data() + unit * cells, cells);
+    cipher(unit).init_scratch(levels, scratch);
     for (unsigned s = sched; s-- > 0;) {
-      cipher(unit).decrypt_step(levels, s);
-      std::copy(levels.begin(), levels.end(), block.levels.begin() + unit * cells);
+      cipher(unit).decrypt_step(levels, s, scratch);
       journal.advance(addr);
     }
     ++stats_.decrypt_ops;

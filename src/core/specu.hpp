@@ -35,7 +35,6 @@ enum class SpeMode { Serial, Parallel };
 class Specu {
 public:
   /// Per-pulse ageing relative to a full write (Section 5.2 / wear module).
-  /// Shared with the batched fast path so both charge identical wear.
   static constexpr double kPulseWear = 0.02;
 
   /// Creates the control unit for `memory`. No key yet: reads/writes throw
@@ -151,19 +150,17 @@ public:
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
 private:
-  // The batched fast path (specu_batch.cpp) replicates the scalar read/write
-  // semantics — spans, journal intents, stats, wear, pending set — against
-  // the same private state; the differential suite keeps the two identical.
-  friend class SpecuBatch;
-
   [[nodiscard]] const SpeCipher& cipher(unsigned unit) const { return *ciphers_.at(unit); }
   [[nodiscard]] unsigned schedule_length() const;
   void begin_intent(std::uint64_t addr, JournalOp op, std::uint32_t progress,
                     std::uint32_t total, std::vector<std::uint8_t> pre_image = {});
-  /// Applies pulses [progress, pulses_per_block()) forward; commits the
-  /// open Encrypt intent. Caller must have begun the intent.
+  /// Applies pulses [progress, pulses_per_block()) forward, stepping each
+  /// unit in place on block.levels and advancing the journal after every
+  /// pulse; commits the open Encrypt intent. Caller must have begun it.
   void encrypt_block_in_place(std::uint64_t addr, Snvmm::Block& block,
                               std::uint32_t progress = 0);
+  /// Journals a Decrypt intent carrying the ciphertext pre-image, then
+  /// applies every pulse's inverse in place (same advance cadence).
   void decrypt_block_in_place(std::uint64_t addr, Snvmm::Block& block);
 
   Snvmm& memory_;

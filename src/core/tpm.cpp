@@ -1,24 +1,9 @@
 #include "core/tpm.hpp"
 
 #include "obs/metrics.hpp"
+#include "util/ct_equal.hpp"
 
 namespace spe::core {
-
-namespace {
-/// Branch-free 64-bit equality: the comparison cost is independent of which
-/// (if any) bits differ, so a probing platform cannot bisect the sealed
-/// measurement through the handshake's timing.
-bool ct_equal_u64(std::uint64_t a, std::uint64_t b) noexcept {
-  std::uint64_t diff = a ^ b;
-  diff |= diff >> 32;
-  diff |= diff >> 16;
-  diff |= diff >> 8;
-  diff |= diff >> 4;
-  diff |= diff >> 2;
-  diff |= diff >> 1;
-  return (diff & 1u) == 0;
-}
-}  // namespace
 
 void Tpm::provision(std::uint64_t device_id, std::uint64_t platform_measurement,
                     const SpeKey& key) {
@@ -32,7 +17,9 @@ std::optional<SpeKey> Tpm::authenticate_and_release(
   // Compare against a dummy when the device is unknown so both refusal paths
   // execute the same measurement check before diverging.
   const std::uint64_t sealed_measurement = known ? it->second.measurement : 0;
-  const bool match = ct_equal_u64(sealed_measurement, platform_measurement);
+  // Constant-time, so a probing platform cannot bisect the sealed
+  // measurement through the handshake's timing.
+  const bool match = util::ct_equal(sealed_measurement, platform_measurement);
   if (!known || !match) {
     failed_releases_.fetch_add(1, std::memory_order_relaxed);
     obs::MetricsRegistry::global()

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "util/ct_equal.hpp"
+
 namespace spe::tenant {
 
 TenantRegistry::TenantRegistry(std::vector<TenantSpec> specs) {
@@ -66,7 +68,7 @@ bool TenantRegistry::authenticate(TenantId id, std::uint64_t token,
   if (s == nullptr) return false;  // unknown: nowhere to count, caller does
   const std::uint64_t expect =
       make_token(s->spec.token_secret, id, request_id, opcode);
-  if (!ct_equal(expect, token)) {
+  if (!util::ct_equal(expect, token)) {
     s->counters.auth_failures.fetch_add(1, std::memory_order_relaxed);
     return false;
   }

@@ -10,7 +10,8 @@
 // HMAC (no crypto library in the dependency budget), but with the same
 // shape: secret absorbed first and last so extension of the middle words
 // never yields a valid tag for a different message. Verification is
-// constant-time so a byte-guessing client learns nothing from latency.
+// constant-time (util::ct_equal) so a byte-guessing client learns nothing
+// from latency.
 
 #include <cstdint>
 
@@ -33,18 +34,6 @@ inline constexpr std::uint64_t kTokenDomain = 0x312D43414D2D544Eull;
   h = util::mix64(h ^ request_id);
   h = util::mix64(h ^ opcode);
   return util::mix64(h ^ secret);
-}
-
-/// Branch-free 64-bit compare: cost independent of which bits differ.
-[[nodiscard]] inline bool ct_equal(std::uint64_t a, std::uint64_t b) noexcept {
-  std::uint64_t diff = a ^ b;
-  diff |= diff >> 32;
-  diff |= diff >> 16;
-  diff |= diff >> 8;
-  diff |= diff >> 4;
-  diff |= diff >> 2;
-  diff |= diff >> 1;
-  return (diff & 1u) == 0;
 }
 
 }  // namespace spe::tenant

@@ -30,6 +30,10 @@ TEST_F(SpeCipherTest, ScheduleHasSixteenSteps) {
   EXPECT_EQ(cipher.block_bytes(), 16u);
 }
 
+TEST_F(SpeCipherTest, NullCalibrationThrows) {
+  EXPECT_THROW(SpeCipher(SpeKey{1, 2}, nullptr), std::invalid_argument);
+}
+
 TEST_F(SpeCipherTest, EncryptDecryptIsExactIdentity) {
   const auto cipher = make_cipher(SpeKey{0xABC, 0xDEF});
   for (int t = 0; t < 100; ++t) {

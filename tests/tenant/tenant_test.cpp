@@ -16,6 +16,7 @@
 #include "runtime/memory_service.hpp"
 #include "tenant/registry.hpp"
 #include "tenant/token.hpp"
+#include "util/ct_equal.hpp"
 
 namespace spe::tenant {
 namespace {
@@ -76,8 +77,8 @@ TEST(TenantToken, BindsAllFields) {
   EXPECT_NE(t, make_token(1, 2, 9, 4));
   EXPECT_NE(t, make_token(1, 2, 3, 9));
   EXPECT_EQ(t, make_token(1, 2, 3, 4));  // deterministic
-  EXPECT_TRUE(ct_equal(t, t));
-  EXPECT_FALSE(ct_equal(t, t ^ 1));
+  EXPECT_TRUE(util::ct_equal(t, t));
+  EXPECT_FALSE(util::ct_equal(t, t ^ 1));
 }
 
 TEST(TenantRegistry, DerivesIndependentKeys) {
