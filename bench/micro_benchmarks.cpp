@@ -1,11 +1,12 @@
 // Google-benchmark microbenchmarks: throughput of the building blocks —
-// SPE encrypt/decrypt, the key-stream PRNG, AES and Trivium baselines, the
-// crossbar nodal solve, calibration, and the placement ILP.
+// SPE encrypt/decrypt, the level ECC, the key-stream PRNG, AES and Trivium
+// baselines, the crossbar nodal solve, calibration, and the placement ILP.
 
 #include <benchmark/benchmark.h>
 
 #include "core/datasets.hpp"
 #include "crypto/cipher.hpp"
+#include "ecc/level_ecc.hpp"
 #include "ilp/poe_placement.hpp"
 #include "nist/suite.hpp"
 #include "sim/system.hpp"
@@ -44,6 +45,36 @@ void BM_SpeRoundTripUnit(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 16);
 }
 BENCHMARK(BM_SpeRoundTripUnit);
+
+/// One 256-cell block of random 6-bit levels (the serving block size).
+std::vector<std::uint8_t> random_block_levels() {
+  util::Xoshiro256ss rng(0x1E7E1);
+  std::vector<std::uint8_t> levels(256);
+  for (auto& l : levels) l = static_cast<std::uint8_t>(rng() % 64);
+  return levels;
+}
+
+void BM_LevelChecks256(benchmark::State& state) {
+  std::vector<std::uint8_t> levels = random_block_levels();
+  for (auto _ : state) {
+    levels[0] = static_cast<std::uint8_t>(state.iterations() % 64);
+    benchmark::DoNotOptimize(ecc::level_checks(levels));
+  }
+}
+BENCHMARK(BM_LevelChecks256);
+
+/// Arg 0: clean block. Arg 1: one cell corrupted before each verify, which
+/// corrects it back in place.
+void BM_VerifyLevels256(benchmark::State& state) {
+  std::vector<std::uint8_t> levels = random_block_levels();
+  const std::vector<std::uint8_t> checks = ecc::level_checks(levels);
+  const bool corrupt = state.range(0) != 0;
+  for (auto _ : state) {
+    if (corrupt) levels[77] ^= 0x2D;
+    benchmark::DoNotOptimize(ecc::verify_levels(levels, checks));
+  }
+}
+BENCHMARK(BM_VerifyLevels256)->ArgName("corrupt_cells")->Arg(0)->Arg(1);
 
 void BM_CoupledLcg(benchmark::State& state) {
   util::CoupledLcg prng(0xBEEF);

@@ -1,8 +1,11 @@
 #include "ecc/level_ecc.hpp"
 
-#include <set>
+#include <array>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
+#include "ecc/le_word.hpp"
 #include "ecc/secded.hpp"
 #include "obs/trace.hpp"
 
@@ -16,15 +19,31 @@ unsigned words_for(std::size_t cells) {
   return static_cast<unsigned>((cells + kCellsPerWord - 1) / kCellsPerWord);
 }
 
-/// Gathers bit plane `p` of cells [64w, 64w+64) into one 64-bit word;
-/// missing cells (short final group) read as zero.
-std::uint64_t plane_word(std::span<const std::uint8_t> levels, unsigned p, unsigned w) {
-  std::uint64_t word = 0;
+/// Bit planes 0..kLevelBits-1 of one 64-cell group, one word per plane.
+using PlaneWords = std::array<std::uint64_t, kLevelBits>;
+
+/// Gathers every plane of cells [64w, 64w+64) in one pass, 8 cells at a
+/// time: the 8 levels load as one little-endian word, `(x >> p) & kByteLsb`
+/// keeps bit p of each byte, and the multiply moves byte i's bit to bit
+/// 56+i (the partial products never overlap, so nothing carries). Missing
+/// cells (short final group) read as zero.
+PlaneWords gather_planes(std::span<const std::uint8_t> levels, unsigned w) {
+  constexpr std::uint64_t kByteLsb = 0x0101010101010101ull;
+  constexpr std::uint64_t kGather = 0x0102040810204080ull;
   const std::size_t base = static_cast<std::size_t>(w) * kCellsPerWord;
-  const std::size_t end = std::min(levels.size(), base + kCellsPerWord);
-  for (std::size_t c = base; c < end; ++c)
-    word |= std::uint64_t{(levels[c] >> p) & 1u} << (c - base);
-  return word;
+  const std::uint8_t* cells = levels.data() + base;
+  std::array<std::uint8_t, kCellsPerWord> tail{};
+  if (const std::size_t n = levels.size() - base; n < kCellsPerWord) {
+    std::memcpy(tail.data(), cells, n);
+    cells = tail.data();
+  }
+  PlaneWords planes{};
+  for (unsigned k = 0; k < kCellsPerWord / 8; ++k) {
+    const std::uint64_t x = detail::load_le64(cells + 8 * k);
+    for (unsigned p = 0; p < kLevelBits; ++p)
+      planes[p] |= (((x >> p) & kByteLsb) * kGather >> 56) << (8 * k);
+  }
+  return planes;
 }
 
 }  // namespace
@@ -32,9 +51,11 @@ std::uint64_t plane_word(std::span<const std::uint8_t> levels, unsigned p, unsig
 std::vector<std::uint8_t> level_checks(std::span<const std::uint8_t> levels) {
   const unsigned words = words_for(levels.size());
   std::vector<std::uint8_t> checks(static_cast<std::size_t>(kLevelBits) * words);
-  for (unsigned p = 0; p < kLevelBits; ++p)
-    for (unsigned w = 0; w < words; ++w)
-      checks[p * words + w] = encode_check(plane_word(levels, p, w));
+  for (unsigned w = 0; w < words; ++w) {
+    const PlaneWords planes = gather_planes(levels, w);
+    for (unsigned p = 0; p < kLevelBits; ++p)
+      checks[p * words + w] = encode_check(planes[p]);
+  }
   return checks;
 }
 
@@ -46,11 +67,11 @@ LevelDecodeResult verify_levels(std::span<std::uint8_t> levels,
 
   obs::Span span("ecc.verify", levels.size());
   LevelDecodeResult result;
-  std::set<unsigned> touched;
-  for (unsigned p = 0; p < kLevelBits; ++p) {
-    for (unsigned w = 0; w < words; ++w) {
-      const DecodeResult word =
-          decode({plane_word(levels, p, w), checks[p * words + w]});
+  for (unsigned w = 0; w < words; ++w) {
+    const PlaneWords planes = gather_planes(levels, w);
+    std::uint64_t touched = 0;  // bit c: cell 64w+c was corrected
+    for (unsigned p = 0; p < kLevelBits; ++p) {
+      const DecodeResult word = decode({planes[p], checks[p * words + w]});
       switch (word.status) {
         case DecodeStatus::Clean:
         case DecodeStatus::CorrectedCheck:  // stored check stale, data good
@@ -65,7 +86,7 @@ LevelDecodeResult verify_levels(std::span<std::uint8_t> levels,
           }
           levels[cell] ^= static_cast<std::uint8_t>(1u << p);
           ++result.corrected_bits;
-          touched.insert(static_cast<unsigned>(cell));
+          touched |= std::uint64_t{1} << word.corrected_bit;
           break;
         }
         case DecodeStatus::DoubleError:
@@ -73,8 +94,8 @@ LevelDecodeResult verify_levels(std::span<std::uint8_t> levels,
           break;
       }
     }
+    result.corrected_cells += static_cast<unsigned>(std::popcount(touched));
   }
-  result.corrected_cells = static_cast<unsigned>(touched.size());
   result.ok = result.uncorrectable_words == 0;
   span.set_a1(result.corrected_cells);
   return result;

@@ -4,6 +4,8 @@
 #include <bit>
 #include <stdexcept>
 
+#include "ecc/le_word.hpp"
+
 namespace spe::ecc {
 
 namespace {
@@ -22,15 +24,32 @@ constexpr std::array<std::uint8_t, 64> make_position_codes() {
 }
 constexpr std::array<std::uint8_t, 64> kPositionCodes = make_position_codes();
 
+/// kCoverMask[i] selects the data bits whose position code has bit i set:
+/// Hamming check i is the parity of `data & kCoverMask[i]`.
+constexpr std::array<std::uint64_t, 7> make_cover_masks() {
+  std::array<std::uint64_t, 7> masks{};
+  for (unsigned d = 0; d < 64; ++d)
+    for (unsigned i = 0; i < 7; ++i)
+      if ((kPositionCodes[d] >> i) & 1u) masks[i] |= std::uint64_t{1} << d;
+  return masks;
+}
+constexpr std::array<std::uint64_t, 7> kCoverMask = make_cover_masks();
+
+/// Inverse of kPositionCodes: the data bit a 7-bit syndrome names, or -1
+/// when no data bit has that code.
+constexpr std::array<std::int8_t, 128> make_syndrome_bits() {
+  std::array<std::int8_t, 128> bits{};
+  bits.fill(-1);
+  for (unsigned d = 0; d < 64; ++d) bits[kPositionCodes[d]] = static_cast<std::int8_t>(d);
+  return bits;
+}
+constexpr std::array<std::int8_t, 128> kSyndromeBit = make_syndrome_bits();
+
 std::uint8_t low7_checks(std::uint64_t data) {
-  std::uint8_t checks = 0;
-  for (unsigned i = 0; i < 7; ++i) {
-    std::uint64_t covered = 0;
-    for (unsigned d = 0; d < 64; ++d)
-      if ((kPositionCodes[d] >> i) & 1u) covered |= (data >> d) & 1u ? (std::uint64_t{1} << d) : 0;
-    checks |= static_cast<std::uint8_t>((std::popcount(covered) & 1) << i);
-  }
-  return checks;
+  unsigned checks = 0;
+  for (unsigned i = 0; i < 7; ++i)
+    checks |= (std::popcount(data & kCoverMask[i]) & 1u) << i;
+  return static_cast<std::uint8_t>(checks);
 }
 
 unsigned parity64(std::uint64_t v) { return std::popcount(v) & 1u; }
@@ -67,13 +86,11 @@ DecodeResult decode(Codeword word) {
       result.status = DecodeStatus::CorrectedCheck;  // one Hamming check bit
       return result;
     }
-    for (unsigned d = 0; d < 64; ++d) {
-      if (kPositionCodes[d] == syndrome) {
-        result.data ^= std::uint64_t{1} << d;
-        result.corrected_bit = static_cast<int>(d);
-        result.status = DecodeStatus::CorrectedData;
-        return result;
-      }
+    if (const int bit = kSyndromeBit[syndrome]; bit >= 0) {
+      result.data ^= std::uint64_t{1} << bit;
+      result.corrected_bit = bit;
+      result.status = DecodeStatus::CorrectedData;
+      return result;
     }
     // Syndrome matches no position: 3+ errors masquerading as odd.
     result.status = DecodeStatus::DoubleError;
@@ -90,11 +107,8 @@ ProtectedBlock protect_block(std::span<const std::uint8_t> block) {
   ProtectedBlock out;
   out.data.assign(block.begin(), block.end());
   out.checks.reserve(block.size() / 8);
-  for (std::size_t w = 0; w < block.size(); w += 8) {
-    std::uint64_t word = 0;
-    for (unsigned b = 0; b < 8; ++b) word |= std::uint64_t{block[w + b]} << (8 * b);
-    out.checks.push_back(encode_check(word));
-  }
+  for (std::size_t w = 0; w < block.size(); w += 8)
+    out.checks.push_back(encode_check(detail::load_le64(block.data() + w)));
   return out;
 }
 
@@ -104,10 +118,8 @@ BlockDecodeResult recover_block(const ProtectedBlock& stored) {
   if (stored.data.size() != stored.checks.size() * 8) return result;
   result.ok = true;
   for (std::size_t w = 0; w < stored.checks.size(); ++w) {
-    std::uint64_t word = 0;
-    for (unsigned b = 0; b < 8; ++b)
-      word |= std::uint64_t{stored.data[w * 8 + b]} << (8 * b);
-    const DecodeResult r = decode({word, stored.checks[w]});
+    const DecodeResult r =
+        decode({detail::load_le64(stored.data.data() + w * 8), stored.checks[w]});
     switch (r.status) {
       case DecodeStatus::Clean:
         break;
@@ -120,8 +132,7 @@ BlockDecodeResult recover_block(const ProtectedBlock& stored) {
         result.ok = false;
         break;
     }
-    for (unsigned b = 0; b < 8; ++b)
-      result.data[w * 8 + b] = static_cast<std::uint8_t>(r.data >> (8 * b));
+    detail::store_le64(result.data.data() + w * 8, r.data);
   }
   return result;
 }

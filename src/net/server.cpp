@@ -611,7 +611,6 @@ void Server::completion_loop(CompletionLane& lane) {
     if (pending.admitted)
       if (tenant::TenantRegistry* reg = service_.config().tenants.get())
         reg->release_inflight(pending.tenant);
-    counters_.requests_completed.fetch_add(1, std::memory_order_relaxed);
     counters_.request_latency.record(Clock::now() - pending.received);
     pending.conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
     if (pending_count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -805,6 +804,9 @@ void Server::respond_now(const std::shared_ptr<Conn>& conn, const Frame& frame) 
 }
 
 void Server::deliver(const std::shared_ptr<Conn>& conn, const Frame& frame) {
+  // Counted before the response is published, so a client that holds it
+  // never reads a counter snapshot that misses it.
+  counters_.requests_completed.fetch_add(1, std::memory_order_relaxed);
   if (conn->dead.load(std::memory_order_acquire)) return;
   if (!append_response(conn, frame.version, frame.opcode, frame.status,
                        frame.request_id, frame.payload, /*may_block=*/true))
@@ -818,6 +820,7 @@ void Server::deliver(const std::shared_ptr<Conn>& conn, const Frame& frame) {
 
 void Server::deliver_direct(const Pending& pending, Opcode opcode,
                             std::span<const std::uint8_t> payload) {
+  counters_.requests_completed.fetch_add(1, std::memory_order_relaxed);  // as in deliver()
   const std::shared_ptr<Conn>& conn = pending.conn;
   if (conn->dead.load(std::memory_order_acquire)) return;
   if (!append_response(conn, pending.version, opcode, Status::Ok,

@@ -184,7 +184,9 @@ struct ServiceConfig {
   unsigned scavenger_blocks_per_pass = 4;
 
   // --- resilience (SEC-DED plane code over stored levels, src/ecc) --------
-  bool ecc_enabled = true;       ///< verify+correct levels on every read
+  /// Verify+correct levels on every read and scrub, re-shadow on every
+  /// change of resting state; < 1 µs of CPU per 256-cell block each.
+  bool ecc_enabled = true;
   bool verify_writes = true;     ///< program-verify after each write, remap on failure
   unsigned max_read_retries = 3;   ///< re-senses after an uncorrectable read
   unsigned max_write_retries = 3;  ///< re-programs before remapping to a spare
